@@ -1,23 +1,21 @@
 //! Telemetry overhead on the ingest hot path.
 //!
-//! Compares `Engine::ingest` with the default `NullSink`, with the flat
-//! `EngineCounters`, and with a full `Telemetry` hub attached — the
-//! numbers behind the overhead budget in DESIGN.md §7 and EXPERIMENTS.md.
+//! Compares `Engine::ingest` with the default `NullSink` and with a full
+//! `Telemetry` hub attached — the numbers behind the overhead budget in
+//! DESIGN.md §7 and EXPERIMENTS.md.
 //! Sink-only costs are also measured in isolation (one `TickIngested`
 //! event, one histogram record).
-
-use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use ix_core::{
-    ContextId, Engine, EngineCounters, EngineEvent, EventSink, Histogram, InvarNetConfig, NullSink,
+    ContextId, Engine, EngineEvent, EventSink, Histogram, InvarNetConfig, NullSink,
     OperationContext, Telemetry,
 };
 use ix_simulator::{Runner, WorkloadType};
 
 /// A trained engine plus a normal run to replay through it. The closure
-/// customizes the [`ix_core::EngineBuilder`] (event sink, telemetry) before
+/// customizes the [`ix_core::EngineBuilder`] (telemetry) before
 /// the engine is built.
 fn trained_engine(
     wire: impl FnOnce(ix_core::EngineBuilder) -> ix_core::EngineBuilder,
@@ -73,13 +71,6 @@ fn bench_telemetry(c: &mut Criterion) {
     // so the difference is pure per-tick event cost.
     let (engine, context, cpi, frame) = trained_engine(|b| b);
     c.bench_function("ingest_run_null_sink", |b| {
-        b.iter(|| replay(black_box(&engine), &context, &cpi, &frame))
-    });
-
-    let counters = Arc::new(EngineCounters::default());
-    let (engine, context, cpi, frame) =
-        trained_engine(|b| b.event_sink(Arc::clone(&counters) as Arc<dyn EventSink>));
-    c.bench_function("ingest_run_engine_counters", |b| {
         b.iter(|| replay(black_box(&engine), &context, &cpi, &frame))
     });
 

@@ -48,9 +48,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ix_core::{
-    CoreError, Engine, InvarNetConfig, InvarNetX, ModelStore, OperationContext, SweepBudget,
-};
+use ix_core::{CoreError, Engine, InvarNetConfig, ModelStore, OperationContext, SweepBudget};
 use ix_metrics::MetricFrame;
 
 /// Renders a [`CoreError`] with its full `source()` chain, so an I/O or
@@ -65,14 +63,14 @@ fn render_error(e: CoreError) -> String {
     out
 }
 
-/// Builds an [`InvarNetX`] pipeline from `config`, attaching the shared
-/// telemetry hub when `--telemetry` was passed.
-fn build_system(config: InvarNetConfig) -> InvarNetX {
+/// Builds an [`Engine`] from `config`, attaching the shared telemetry hub
+/// when `--telemetry` was passed.
+fn build_system(config: InvarNetConfig) -> Engine {
     let mut builder = Engine::builder().config(config);
     if let Some(t) = ix_bench::telemetry::active() {
         builder = builder.telemetry(&t);
     }
-    InvarNetX::from_engine(builder.build())
+    builder.build()
 }
 
 fn read_frame(path: &Path) -> Result<MetricFrame, String> {
@@ -94,7 +92,7 @@ fn read_cpi(path: &Path) -> Result<Vec<f64>, String> {
 
 fn parse_context(s: &str) -> Result<OperationContext, String> {
     let (workload, node) = s
-        .split_once('@')
+        .rsplit_once('@')
         .ok_or_else(|| format!("context must be workload@node, got {s:?}"))?;
     Ok(OperationContext::new(node, workload))
 }
@@ -132,7 +130,7 @@ fn train(args: &[String]) -> Result<(), String> {
         return Err("need at least two --normal frames for Algorithm 1".into());
     }
 
-    let mut system = build_system(InvarNetConfig::default());
+    let system = build_system(InvarNetConfig::default());
     let frames: Result<Vec<MetricFrame>, String> = normals.iter().map(|p| read_frame(p)).collect();
     system
         .build_invariants(context.clone(), &frames?)
@@ -150,15 +148,7 @@ fn train(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
 
-    let mut store = ModelStore::new();
-    if let Some(m) = system.performance_model(&context) {
-        store.put_model(&context, m);
-    }
-    store.put_invariants(
-        &context,
-        system.invariant_set(&context).expect("just built"),
-    );
-    store.signatures = system.signature_database();
+    let store = system.snapshot_state();
     store.save(&out).map_err(render_error)?;
     println!(
         "wrote {} ({} invariants, {} signatures{})",
@@ -206,24 +196,15 @@ fn infer(args: &[String]) -> Result<(), String> {
     let window = window.ok_or("--window is required")?;
 
     let store = ModelStore::load(&deployment).map_err(render_error)?;
-    let key = ModelStore::context_key(&context);
     let mut config = InvarNetConfig::default();
     if let Some(ms) = budget_ms {
         config.sweep_budget = SweepBudget::wall_millis(ms);
     }
-    let mut system = build_system(config);
-    if let Some(m) = store.performance_models.get(&key) {
-        system.set_performance_model(
-            context.clone(),
-            m.clone().into_model().map_err(render_error)?,
-        );
-    }
-    let invariants = store
-        .invariants
-        .get(&key)
+    let system = build_system(config);
+    system.load_state(&store).map_err(render_error)?;
+    let invariants = system
+        .invariant_set(&context)
         .ok_or_else(|| format!("deployment has no invariants for {context}"))?;
-    system.set_invariant_set(context.clone(), invariants.clone());
-    system.set_signature_database(store.signatures.clone());
 
     // Optional detection gate.
     if let Some(cpi_path) = cpi {
@@ -271,7 +252,7 @@ fn infer(args: &[String]) -> Result<(), String> {
     }
     if !diagnosis.is_confident(0.5) {
         println!("\nlow confidence — violated association pairs (hints for manual triage):");
-        let hints = diagnosis.hints(invariants).map_err(|e| e.to_string())?;
+        let hints = diagnosis.hints(&invariants).map_err(|e| e.to_string())?;
         for (a, b, dev) in hints.into_iter().take(8) {
             println!("  {a} ~ {b}  deviation {dev:.2}");
         }

@@ -70,7 +70,7 @@ fn main() {
         let src = HistoryStore::from_bytes(&bytes).expect("parse trace");
         let context = src.contexts()[0];
         let label = src.label(context);
-        let (workload, node) = label.split_once('@').expect("workload@node label");
+        let (workload, node) = label.rsplit_once('@').expect("workload@node label");
         let copy = HistoryStore::builder().shared();
         let registry = Arc::new(ContextRegistry::new());
         let id = registry.intern(&OperationContext::new(node, workload));

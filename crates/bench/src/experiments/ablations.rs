@@ -7,8 +7,10 @@
 //! the paper fixes by fiat (ε = τ = 0.2, cosine-equivalent matching,
 //! 5-minute windows, N ≈ 10–20 training runs, ARIMA).
 
+use std::sync::Arc;
+
 use ix_core::{
-    ConfusionMatrix, CusumDetector, InvarNetConfig, InvarNetX, MicMeasure, OperationContext,
+    ConfusionMatrix, CusumDetector, Engine, InvarNetConfig, MicMeasure, OperationContext,
     PerformanceModel, Similarity,
 };
 use ix_metrics::MetricFrame;
@@ -72,7 +74,7 @@ fn campaign(
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
     let faults = faults_for(workload);
 
-    let mut system = InvarNetX::with_measure(config.clone(), Box::new(MicMeasure::new(config.mic)));
+    let system = Engine::with_measure(config.clone(), Arc::new(MicMeasure::new(config.mic)));
 
     let window = |frame: &MetricFrame| {
         let start = runner

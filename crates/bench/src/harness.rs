@@ -1,9 +1,7 @@
 //! Campaign harness: trains InvarNet-X (or a baseline variant) from
 //! simulator runs and evaluates diagnosis accuracy over fault campaigns.
 
-use ix_core::{
-    ArxMeasure, ConfusionMatrix, InvarNetConfig, InvarNetX, MicMeasure, OperationContext,
-};
+use ix_core::{ArxMeasure, ConfusionMatrix, Engine, InvarNetConfig, MicMeasure, OperationContext};
 use ix_metrics::MetricFrame;
 use ix_simulator::{FaultType, Runner, WorkloadType};
 
@@ -50,8 +48,8 @@ fn training_window(runner: &Runner, frame: &MetricFrame) -> MetricFrame {
 
 /// A trained system plus the context it was trained for.
 pub struct TrainedSystem {
-    /// The trained pipeline.
-    pub system: InvarNetX,
+    /// The trained engine.
+    pub system: Engine,
     /// The context diagnosis queries should use.
     pub context: OperationContext,
 }
@@ -98,11 +96,11 @@ pub fn train(
         MeasureKind::Mic => std::sync::Arc::new(MicMeasure::new(config.mic)),
         MeasureKind::Arx => std::sync::Arc::new(ArxMeasure::new(config.arx)),
     };
-    let mut engine_builder = ix_core::Engine::builder().config(config).measure(measure);
+    let mut engine_builder = Engine::builder().config(config).measure(measure);
     if let Some(telemetry) = crate::telemetry::active() {
         engine_builder = engine_builder.telemetry(&telemetry);
     }
-    let mut system = InvarNetX::from_engine(engine_builder.build());
+    let system = engine_builder.build();
 
     let context = if opts.no_context {
         OperationContext::global()

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use ix_core::{
-    AssociationMeasure, Engine, EngineBuilder, EngineCounters, InvarNetConfig, OperationContext,
-    OverloadPolicy, SweepBudget,
+    AssociationMeasure, Engine, EngineBuilder, InvarNetConfig, OperationContext, OverloadPolicy,
+    SweepBudget, Telemetry,
 };
 use ix_metrics::MetricFrame;
 use ix_simulator::{FaultType, Runner, WorkloadType};
@@ -45,15 +45,16 @@ impl Default for FixtureOptions {
     }
 }
 
-/// A trained engine, the context it serves, and the counters sink wired
+/// A trained engine, the context it serves, and the telemetry hub wired
 /// into it.
 pub struct Fixture {
     /// The live engine under test.
     pub engine: Engine,
     /// The trained operation context.
     pub context: OperationContext,
-    /// Flat event counters (sheds, degradations, retries, ...).
-    pub counters: Arc<EngineCounters>,
+    /// Event counts (sheds, degradations, retries, ...); read them from
+    /// `snapshot().total`.
+    pub telemetry: Arc<Telemetry>,
 }
 
 impl Fixture {
@@ -71,10 +72,8 @@ impl Fixture {
             ingest_queue_ticks: opts.queue_ticks,
             ..InvarNetConfig::default()
         };
-        let counters = Arc::new(EngineCounters::default());
-        let mut builder: EngineBuilder = Engine::builder()
-            .config(config)
-            .event_sink(Arc::clone(&counters) as Arc<dyn ix_core::EventSink>);
+        let telemetry = Telemetry::shared();
+        let mut builder: EngineBuilder = Engine::builder().config(config).telemetry(&telemetry);
         if let Some(measure) = opts.measure {
             builder = builder.measure(measure);
         }
@@ -113,7 +112,7 @@ impl Fixture {
         Fixture {
             engine,
             context,
-            counters,
+            telemetry,
         }
     }
 

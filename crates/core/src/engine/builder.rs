@@ -279,20 +279,26 @@ mod tests {
     #[test]
     fn telemetry_supersedes_event_sink() {
         let telemetry = Telemetry::shared();
-        let counters = Arc::new(crate::engine::EngineCounters::default());
+        let displaced = Telemetry::shared();
         let engine = Engine::builder()
-            .event_sink(counters)
+            .event_sink(Arc::clone(&displaced) as Arc<dyn EventSink>)
             .telemetry(&telemetry)
             .build();
         // The engine interns into the hub's registry — the telemetry
         // attachment won.
         assert!(Arc::ptr_eq(engine.context_registry(), telemetry.contexts()));
+        engine.sink().record(&crate::EngineEvent::DetectionFired {
+            context: crate::ContextId::UNATTRIBUTED,
+            tick: 3,
+        });
+        assert_eq!(telemetry.snapshot().total.detections, 1);
+        assert_eq!(displaced.snapshot().total.detections, 0);
     }
 
     #[test]
     fn extra_sinks_observe_alongside_primary() {
-        let primary = Arc::new(crate::engine::EngineCounters::default());
-        let extra = Arc::new(crate::engine::EngineCounters::default());
+        let primary = Telemetry::shared();
+        let extra = Telemetry::shared();
         let engine = Engine::builder()
             .event_sink(Arc::clone(&primary) as Arc<dyn EventSink>)
             .extra_sink(Arc::clone(&extra) as Arc<dyn EventSink>)
@@ -301,8 +307,8 @@ mod tests {
             context: crate::ContextId::UNATTRIBUTED,
             tick: 3,
         });
-        assert_eq!(primary.detections_fired(), 1);
-        assert_eq!(extra.detections_fired(), 1);
+        assert_eq!(primary.snapshot().total.detections, 1);
+        assert_eq!(extra.snapshot().total.detections, 1);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The layered streaming diagnosis engine.
 //!
-//! [`Engine`] splits the original monolithic facade into explicit layers:
+//! [`Engine`] is the crate's one entry point. It exposes each paper stage
+//! (Perf-M, Invar-C, Sig-B, Perf-D, Cause-I) as a `&self` method and splits
+//! the work into explicit layers:
 //!
 //! - **ingest** ([`Engine::ingest`]) — one CPI sample + one metric row per
 //!   tick, buffered in a per-context [`ix_metrics::SlidingFrame`];
@@ -12,18 +14,15 @@
 //! - **diagnosis** ([`diagnosis`]) — invariant violation tuples matched
 //!   against the signature database, with association sweeps on a
 //!   persistent [`SweepPool`];
-//! - **events** ([`events`]) — counters and timings through a pluggable
-//!   [`EventSink`];
+//! - **events** ([`events`]) — what each layer did, reported through a
+//!   pluggable [`EventSink`];
 //! - **recording** ([`recorder`]) — an optional append-only history sink
 //!   ([`HistoryRecorder`], attach with [`EngineBuilder::history`]) that
 //!   observes tick rows, events, sweep scores and diagnoses, and can serve
 //!   diagnosis windows back to the engine;
-//! - **telemetry** ([`telemetry`]) — the full observability stack on top of
-//!   the events: context-attributed metrics, phase spans, and Prometheus /
-//!   JSON / report exporters (attach with [`EngineBuilder::telemetry`]).
-//!
-//! The original [`crate::InvarNetX`] facade remains as a thin wrapper for
-//! batch (whole-trace) use.
+//! - **telemetry** ([`telemetry`]) — the one place events are counted:
+//!   context-attributed metrics, phase spans, and Prometheus / JSON /
+//!   report exporters (attach with [`EngineBuilder::telemetry`]).
 
 mod builder;
 pub mod detector;
@@ -59,7 +58,7 @@ use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use builder::EngineBuilder;
 pub use detector::{ArimaDetector, CusumStreamDetector, Detector, DetectorRun, TickDecision};
 pub use diagnosis::{Diagnosis, RankedCause};
-pub use events::{EngineCounters, EngineEvent, EventSink, NullSink};
+pub use events::{EngineEvent, EventSink, NullSink};
 pub use ingest::TickOutcome;
 pub use inspect::{ContextStateSnapshot, EngineInspector};
 pub use recorder::{HistoryRecorder, NullRecorder};
@@ -1078,5 +1077,253 @@ impl std::fmt::Debug for Engine {
             .field("shards", &self.state.shard_count())
             .field("threads", &self.pool.threads())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny_config() -> InvarNetConfig {
+        InvarNetConfig {
+            min_frame_ticks: 5,
+            ..InvarNetConfig::default()
+        }
+    }
+
+    fn tiny_engine(threads: usize) -> Engine {
+        Engine::builder()
+            .config(tiny_config())
+            .threads(threads)
+            .build()
+    }
+
+    /// A frame whose metrics are all driven by one latent ramp (strongly
+    /// associated), with metric 0 optionally replaced by noise.
+    fn coupled_frame(ticks: usize, seed: u64, break_metric0: bool) -> MetricFrame {
+        let mut f = MetricFrame::new();
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        for t in 0..ticks {
+            let latent = (t as f64 * 0.23).sin() * 5.0 + 10.0 + 0.2 * next();
+            let mut row: Vec<f64> = (0..METRIC_COUNT)
+                .map(|k| latent * (k + 1) as f64 + 0.1 * next())
+                .collect();
+            if break_metric0 {
+                row[0] = 100.0 * next();
+            }
+            f.push_tick(&row).unwrap();
+        }
+        f
+    }
+
+    fn normal_cpi(traces: u64) -> Vec<Vec<f64>> {
+        (0..traces)
+            .map(|s| {
+                ix_timeseries::SeriesBuilder::new(120)
+                    .level(1.0)
+                    .ar1(0.6)
+                    .noise(0.02)
+                    .build(s)
+                    .unwrap()
+                    .into_values()
+            })
+            .collect()
+    }
+
+    fn ctx() -> OperationContext {
+        OperationContext::new("10.0.0.1", "Test")
+    }
+
+    #[test]
+    fn end_to_end_single_context() {
+        let engine = tiny_engine(2);
+
+        // Invariants from 3 normal frames.
+        let frames: Vec<MetricFrame> = (0..3).map(|s| coupled_frame(60, s, false)).collect();
+        engine.build_invariants(ctx(), &frames).unwrap();
+        let inv = engine.invariant_set(&ctx()).unwrap();
+        assert!(
+            inv.len() > 200,
+            "coupled frame should keep most pairs, got {}",
+            inv.len()
+        );
+
+        // Signature: metric 0 decoupled.
+        let broken = coupled_frame(60, 77, true);
+        engine
+            .record_signature(&ctx(), "metric0-break", &broken)
+            .unwrap();
+        engine
+            .record_signature(&ctx(), "nothing", &coupled_frame(60, 78, false))
+            .unwrap();
+
+        // Diagnosis of a fresh broken window.
+        let probe = coupled_frame(60, 99, true);
+        let d = engine.diagnose(&ctx(), &probe).unwrap();
+        assert_eq!(d.root_cause().unwrap().problem, "metric0-break");
+        assert!(d.tuple.violation_count() > 0);
+    }
+
+    #[test]
+    fn detection_gates_diagnosis() {
+        let engine = tiny_engine(1);
+        let cpi_traces = normal_cpi(3);
+        engine.train_performance_model(ctx(), &cpi_traces).unwrap();
+        let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(40, s, false)).collect();
+        engine.build_invariants(ctx(), &frames).unwrap();
+        engine
+            .record_signature(&ctx(), "x", &coupled_frame(40, 7, true))
+            .unwrap();
+
+        // Normal CPI: no diagnosis performed.
+        let normal = &cpi_traces[0];
+        let (det, diag) = engine
+            .process(&ctx(), normal, &coupled_frame(40, 8, true))
+            .unwrap();
+        assert!(!det.is_anomalous());
+        assert!(diag.is_none());
+
+        // Anomalous CPI: diagnosis runs.
+        let mut hot = normal.clone();
+        for v in hot[60..90].iter_mut() {
+            *v *= 1.8;
+        }
+        let (det, diag) = engine
+            .process(&ctx(), &hot, &coupled_frame(40, 9, true))
+            .unwrap();
+        assert!(det.is_anomalous());
+        assert_eq!(diag.unwrap().root_cause().unwrap().problem, "x");
+    }
+
+    #[test]
+    fn missing_state_errors() {
+        let engine = Engine::new(tiny_config());
+        assert!(matches!(
+            engine.detect(&ctx(), &[1.0; 50]),
+            Err(CoreError::NoPerformanceModel(_))
+        ));
+        assert!(matches!(
+            engine.violation_tuple(&ctx(), &coupled_frame(30, 1, false)),
+            Err(CoreError::NoInvariants(_))
+        ));
+    }
+
+    #[test]
+    fn frame_too_short_is_rejected() {
+        let engine = Engine::new(InvarNetConfig::default());
+        let short = coupled_frame(5, 1, false);
+        assert!(matches!(
+            engine.build_invariants(ctx(), &[short.clone(), short]),
+            Err(CoreError::FrameTooShort { .. })
+        ));
+    }
+
+    #[test]
+    fn top_causes_and_hints() {
+        let engine = tiny_engine(1);
+        let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(50, s, false)).collect();
+        engine.build_invariants(ctx(), &frames).unwrap();
+        engine
+            .record_signature(&ctx(), "break-a", &coupled_frame(50, 7, true))
+            .unwrap();
+        engine
+            .record_signature(&ctx(), "clean", &coupled_frame(50, 8, false))
+            .unwrap();
+
+        let d = engine
+            .diagnose(&ctx(), &coupled_frame(50, 9, true))
+            .unwrap();
+        // top_causes respects both k and the similarity floor.
+        assert_eq!(d.top_causes(2, 0.0).len(), 2);
+        assert_eq!(d.top_causes(1, 0.0).len(), 1);
+        assert!(d.top_causes(5, 0.99).len() <= 2);
+
+        // Hints name metric 0 (the broken one) in the strongest pairs.
+        let inv = engine.invariant_set(&ctx()).unwrap();
+        let hints = d.hints(&inv).unwrap();
+        assert!(!hints.is_empty());
+        let first = hints[0];
+        assert!(
+            first.0.index() == 0 || first.1.index() == 0,
+            "strongest hint should involve the broken metric: {hints:?}"
+        );
+        // Sorted by deviation, descending.
+        for w in hints.windows(2) {
+            assert!(w[0].2 >= w[1].2);
+        }
+    }
+
+    #[test]
+    fn hints_reject_mismatched_invariant_set() {
+        let engine = tiny_engine(1);
+        let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(50, s, false)).collect();
+        engine.build_invariants(ctx(), &frames).unwrap();
+        engine
+            .record_signature(&ctx(), "p", &coupled_frame(50, 7, true))
+            .unwrap();
+        let d = engine
+            .diagnose(&ctx(), &coupled_frame(50, 9, true))
+            .unwrap();
+
+        // A set with a different pair population (different tau) has a
+        // different length; hints must refuse it instead of panicking.
+        let mats: Vec<AssociationMatrix> = frames
+            .iter()
+            .map(|f| engine.association_matrix(f).unwrap())
+            .collect();
+        let other = InvariantSet::select(&mats, 1e-9);
+        if other.len() != d.tuple.len() {
+            assert!(matches!(
+                d.hints(&other),
+                Err(CoreError::TupleLengthMismatch { .. })
+            ));
+        }
+        // The matching set works.
+        assert!(d.hints(&engine.invariant_set(&ctx()).unwrap()).is_ok());
+    }
+
+    #[test]
+    fn contexts_are_isolated() {
+        let engine = tiny_engine(1);
+        let a = OperationContext::new("n1", "W");
+        let b = OperationContext::new("n2", "W");
+        let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(40, s, false)).collect();
+        engine.build_invariants(a.clone(), &frames).unwrap();
+        assert!(engine.invariant_set(&a).is_some());
+        assert!(engine.invariant_set(&b).is_none());
+        engine
+            .record_signature(&a, "p", &coupled_frame(40, 5, true))
+            .unwrap();
+        // Context b has no invariants: diagnosis must error, not borrow a's.
+        assert!(engine.diagnose(&b, &coupled_frame(40, 6, true)).is_err());
+    }
+
+    #[test]
+    fn state_round_trip_keeps_an_at_sign_in_the_workload() {
+        let context = OperationContext::new("10.0.0.1", "etl@v2");
+        let engine = tiny_engine(1);
+        engine
+            .train_performance_model(context.clone(), &normal_cpi(3))
+            .unwrap();
+        let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(40, s, false)).collect();
+        engine.build_invariants(context.clone(), &frames).unwrap();
+
+        let fresh = tiny_engine(1);
+        fresh.load_state(&engine.snapshot_state()).unwrap();
+        assert_eq!(fresh.contexts(), vec![context.clone()]);
+        assert_eq!(
+            fresh.performance_model(&context),
+            engine.performance_model(&context)
+        );
+        assert_eq!(
+            fresh.invariant_set(&context),
+            engine.invariant_set(&context)
+        );
     }
 }

@@ -195,9 +195,10 @@ impl Engine {
 }
 
 /// Parses a [`ModelStore`] context key (`workload@node`) back into an
-/// [`OperationContext`].
+/// [`OperationContext`]. The split is at the last `@`: a workload name may
+/// contain one, a node never does (see [`ModelStore::context_key`]).
 fn parse_context_key(key: &str) -> Result<OperationContext, CoreError> {
-    match key.split_once('@') {
+    match key.rsplit_once('@') {
         Some((workload, node)) => Ok(OperationContext::new(node, workload)),
         None => Err(CoreError::InvalidStoreKey { key: key.into() }),
     }

@@ -1,9 +1,9 @@
 //! The telemetry subsystem: context-attributed metrics, spans and
 //! exporters for the streaming engine.
 //!
-//! [`Telemetry`] is an [`EventSink`] that supersedes the bare
-//! [`super::events::EngineCounters`]: every [`EngineEvent`] is attributed
-//! to an interned [`ContextId`] and aggregated into the per-context
+//! [`Telemetry`] is the [`EventSink`] that counts what the engine does:
+//! every [`EngineEvent`] is attributed to an interned [`ContextId`] and
+//! aggregated into the per-context
 //! [`MetricsRegistry`] (counters, gauges, log-scale latency histograms)
 //! plus a bounded [`SpanRing`] of recently closed phase [`Span`]s. A
 //! [`TelemetrySnapshot`] freezes everything into plain serializable data
@@ -354,6 +354,63 @@ mod tests {
         assert_eq!(snap.total.ticks, 2);
         assert_eq!(snap.total.threshold_exceedances, 1);
         assert_eq!(snap.total.max_residual, 0.9);
+    }
+
+    #[test]
+    fn resilience_events_reach_scope_counters() {
+        use crate::engine::resilience::{
+            DegradationReason, DegradationTier, HealthState, OverloadPolicy,
+        };
+        let t = Telemetry::new();
+        let ctx = t
+            .contexts()
+            .intern(&crate::OperationContext::new("n1", "W"));
+        t.record(&EngineEvent::SweepDegraded {
+            context: ctx,
+            tier: DegradationTier::PearsonFallback,
+            reason: DegradationReason::WallClockExceeded,
+        });
+        t.record(&EngineEvent::TickEnqueued {
+            context: ctx,
+            depth: 4,
+        });
+        t.record(&EngineEvent::TickShed {
+            context: ctx,
+            policy: OverloadPolicy::ShedOldest,
+        });
+        t.record(&EngineEvent::StoreRetried {
+            context: ContextId::UNATTRIBUTED,
+            attempt: 1,
+            backoff_micros: 1000,
+        });
+        t.record(&EngineEvent::HealthChanged {
+            context: ctx,
+            from: HealthState::Healthy,
+            to: HealthState::Degraded(DegradationTier::PearsonFallback),
+        });
+        // Fleet lifecycle events are counted by the fleet, not here.
+        t.record(&EngineEvent::TenantEvicted {
+            context: ctx,
+            tenant: 7,
+            ticks: 120,
+        });
+        t.record(&EngineEvent::TenantWarmed {
+            context: ctx,
+            tenant: 7,
+            micros: 350,
+        });
+        let snap = t.snapshot();
+        let scope = &snap.contexts[ctx.index()];
+        assert_eq!(scope.sweeps_degraded, 1);
+        assert_eq!(scope.ticks_shed, 1);
+        assert_eq!(scope.health_transitions, 1);
+        assert_eq!((scope.queue_depth_last, scope.queue_depth_max), (4, 4));
+        assert_eq!(scope.store_retries, 0);
+        let total = &snap.total;
+        assert_eq!(total.sweeps_degraded, 1);
+        assert_eq!(total.ticks_shed, 1);
+        assert_eq!(total.store_retries, 1);
+        assert_eq!(total.health_transitions, 1);
     }
 
     #[test]

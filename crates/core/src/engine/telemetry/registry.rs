@@ -391,7 +391,9 @@ impl MetricsRegistry {
     }
 
     /// Snapshots every allocated scope, labeled through `label`, plus the
-    /// unattributed scope (labeled by `label(ContextId::UNATTRIBUTED)`).
+    /// unattributed scope (labeled by `label(ContextId::UNATTRIBUTED)`)
+    /// once any event reached it — store retries and store health
+    /// transitions land only there.
     pub fn snapshot_scopes(&self, label: impl Fn(ContextId) -> String) -> Vec<ScopeSnapshot> {
         let scopes: Vec<Arc<ContextScope>> = self
             .scopes
@@ -409,7 +411,7 @@ impl MetricsRegistry {
             })
             .collect();
         let sentinel = self.unattributed.snapshot(label(ContextId::UNATTRIBUTED));
-        if !sentinel.is_empty() {
+        if sentinel != ScopeSnapshot::empty(sentinel.context.clone()) {
             out.push(sentinel);
         }
         out

@@ -25,7 +25,11 @@
 //!    signature database by a [`Similarity`] measure; the closest
 //!    signatures' causes are reported, ranked.
 //!
-//! The facade type is [`InvarNetX`]; `examples/quickstart.rs` in the
+//! [`Engine`] runs every stage: the offline half through
+//! [`Engine::train_performance_model`], [`Engine::build_invariants`] and
+//! [`Engine::record_signature`], the online half through [`Engine::detect`],
+//! [`Engine::diagnose`] and [`Engine::process`] for whole traces, or
+//! [`Engine::ingest`] tick by tick. `examples/quickstart.rs` in the
 //! workspace root shows the full train → detect → diagnose loop.
 
 #![warn(missing_docs)]
@@ -41,7 +45,6 @@ mod eval;
 mod incremental;
 mod invariants;
 mod measure;
-mod pipeline;
 mod signature;
 mod similarity;
 mod store;
@@ -63,9 +66,9 @@ pub use engine::telemetry::{
     SpanSnapshot, Telemetry, TelemetrySnapshot, CONFIDENT_SIMILARITY, HISTOGRAM_BUCKETS,
 };
 pub use engine::{
-    ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Engine,
-    EngineBuilder, EngineCounters, EngineEvent, EngineInspector, EventSink, HistoryRecorder,
-    NullRecorder, NullSink, TickDecision, TickOutcome,
+    ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Diagnosis,
+    Engine, EngineBuilder, EngineEvent, EngineInspector, EventSink, HistoryRecorder, NullRecorder,
+    NullSink, RankedCause, TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
@@ -74,7 +77,6 @@ pub use invariants::InvariantSet;
 pub use measure::{
     ArxMeasure, AssociationMeasure, MicMeasure, PairScorer, PearsonMeasure, SlideOutcome, SweepPlan,
 };
-pub use pipeline::{Diagnosis, InvarNetX, RankedCause};
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;
 pub use store::{to_xml, ModelStore};

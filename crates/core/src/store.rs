@@ -104,6 +104,10 @@ impl ModelStore {
     }
 
     /// Context key used in the maps (`workload@node`).
+    ///
+    /// [`crate::Engine::load_state`] splits a key at its *last* `@`, so a
+    /// workload name may contain `@` but a node (a host name or IP) must
+    /// not.
     pub fn context_key(context: &OperationContext) -> String {
         context.to_string()
     }
@@ -227,7 +231,7 @@ pub fn to_xml(store: &ModelStore) -> String {
 }
 
 fn split_key(key: &str) -> (&str, &str) {
-    key.split_once('@').unwrap_or((key, "?"))
+    key.rsplit_once('@').unwrap_or((key, "?"))
 }
 
 fn xml_escape(s: &str) -> String {

@@ -99,17 +99,6 @@ impl<'a> Query<'a> {
         QueryBuilder::default()
     }
 
-    /// A query surface over `engine`'s trained state and `history`'s
-    /// recorded data. The store need not be the one attached to the
-    /// engine — a store loaded from disk works the same.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Query::builder().engine(engine).history(history).build()`"
-    )]
-    pub fn over(engine: &'a Engine, history: &'a HistoryStore) -> Self {
-        Query { engine, history }
-    }
-
     /// Ranked root-cause explanations for `context`'s recorded window.
     pub fn explanations(&self, context: &OperationContext) -> Explanations<'a> {
         Explanations::new(self.engine, self.history, context.clone())

@@ -299,35 +299,6 @@ impl ReplayerBuilder {
     /// inconsistent.
     pub fn build(self) -> Result<Replayer, ReplayError> {
         let recorded = self.recorded.ok_or(ReplayError::MissingHeader)?;
-        Replayer::from_parts(recorded)
-    }
-}
-
-impl Replayer {
-    /// The builder-first construction path.
-    pub fn builder() -> ReplayerBuilder {
-        ReplayerBuilder::default()
-    }
-
-    /// Rebuilds the recording engine from `recorded`'s header and
-    /// prepares the replay schedule.
-    ///
-    /// # Errors
-    ///
-    /// Header errors ([`ReplayError::MissingHeader`] /
-    /// [`ReplayError::Header`] / [`ReplayError::Version`]) when the trace
-    /// is not replayable, [`ReplayError::Engine`] when the trained state
-    /// does not load, and [`ReplayError::Trace`] when the recorded rows
-    /// are internally inconsistent.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Replayer::builder().recorded(store).build()`"
-    )]
-    pub fn from_store(recorded: Arc<HistoryStore>) -> Result<Self, ReplayError> {
-        Replayer::from_parts(recorded)
-    }
-
-    fn from_parts(recorded: Arc<HistoryStore>) -> Result<Self, ReplayError> {
         let header = ReplayHeader::extract(&recorded)?;
         let capture = Arc::new(CaptureSink::default());
         let replay_store = HistoryStore::builder().shared();
@@ -350,6 +321,13 @@ impl Replayer {
             contexts,
             cursor: 0,
         })
+    }
+}
+
+impl Replayer {
+    /// The builder-first construction path.
+    pub fn builder() -> ReplayerBuilder {
+        ReplayerBuilder::default()
     }
 
     /// The header the trace was recorded with.
@@ -536,7 +514,7 @@ fn parse_contexts(
     for context in recorded.contexts() {
         let label = recorded.label(context);
         let (workload, node) = label
-            .split_once('@')
+            .rsplit_once('@')
             .ok_or_else(|| ReplayError::Trace(format!("unparseable context label {label:?}")))?;
         map.insert(context, OperationContext::new(node, workload));
     }

@@ -58,29 +58,10 @@ impl ReplayFeedBuilder {
         self
     }
 
-    /// The finished feed, staged over `store`'s event stream.
+    /// The finished feed, staged over `store`'s event stream, with its
+    /// context labels re-interned into a fresh hub so ids resolve to the
+    /// recorded names.
     pub fn build(self, store: &HistoryStore) -> ReplayFeed {
-        ReplayFeed::from_parts(store, self.console.unwrap_or_default(), self.speed)
-    }
-}
-
-impl ReplayFeed {
-    /// The builder-first construction path.
-    pub fn builder() -> ReplayFeedBuilder {
-        ReplayFeedBuilder::default()
-    }
-
-    /// Stages `store`'s event stream, re-interning its context labels
-    /// into a fresh hub so ids resolve to the recorded names.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ReplayFeed::builder().console(console).speed(speed).build(store)`"
-    )]
-    pub fn new(store: &HistoryStore, console: TopConsole, speed: f64) -> Self {
-        ReplayFeed::from_parts(store, console, speed)
-    }
-
-    fn from_parts(store: &HistoryStore, console: TopConsole, speed: f64) -> Self {
         let hub = Telemetry::shared();
         // Positional re-interning: the registry hands out ids in call
         // order, so interning label i as the i-th call gives it
@@ -95,20 +76,28 @@ impl ReplayFeed {
             .unwrap_or(0);
         for i in 0..slots {
             let label = store.label(ContextId::from_index(i));
-            let parsed = match label.split_once('@') {
+            let parsed = match label.rsplit_once('@') {
                 Some((workload, node)) => OperationContext::new(node, workload),
                 None => OperationContext::new("replay", label),
             };
             hub.contexts().intern(&parsed);
         }
+        let console = self.console.unwrap_or_default();
         console.bind_registry(hub.contexts());
         ReplayFeed {
             hub,
             console,
             events: store.events(),
             cursor: 0,
-            speed: if speed > 0.0 { speed } else { 1.0 },
+            speed: if self.speed > 0.0 { self.speed } else { 1.0 },
         }
+    }
+}
+
+impl ReplayFeed {
+    /// The builder-first construction path.
+    pub fn builder() -> ReplayFeedBuilder {
+        ReplayFeedBuilder::default()
     }
 
     /// The hub the recorded events are replayed into.

@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use invarnet_x::core::{InvarNetConfig, InvarNetX, OperationContext};
+use invarnet_x::core::{Engine, InvarNetConfig, OperationContext};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -20,7 +20,7 @@ fn main() {
 
     // ---------------------------------------------------------- offline --
     println!("== offline training for context {context} ==");
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
 
     // N normal runs: CPI traces feed the ARIMA performance model, metric
     // windows feed Algorithm 1 (invariant selection).

@@ -7,7 +7,7 @@
 //! cargo run --release --example signature_explorer
 //! ```
 
-use invarnet_x::core::{to_xml, InvarNetConfig, InvarNetX, ModelStore, OperationContext};
+use invarnet_x::core::{to_xml, Engine, InvarNetConfig, OperationContext};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -17,7 +17,7 @@ fn main() {
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
 
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
     let normals = runner.normal_runs(workload, 6);
     let window = |frame: &MetricFrame| {
         let len = runner.fault_duration_ticks;
@@ -41,7 +41,7 @@ fn main() {
         .train_performance_model(context.clone(), &cpi)
         .expect("ARIMA");
 
-    let invariants = system.invariant_set(&context).expect("built").clone();
+    let invariants = system.invariant_set(&context).expect("built");
     println!(
         "invariants for {context}: {} of 325 pairs\n",
         invariants.len()
@@ -82,14 +82,7 @@ fn main() {
     }
 
     // Persist and show the paper-style XML view (truncated).
-    let mut store = ModelStore::new();
-    store.put_model(
-        &context,
-        system.performance_model(&context).expect("trained"),
-    );
-    store.put_invariants(&context, &invariants);
-    store.signatures = system.signature_database();
-    let xml = to_xml(&store);
+    let xml = to_xml(&system.snapshot_state());
     println!(
         "\npaper-style XML store ({} bytes), first lines:",
         xml.len()

@@ -2,11 +2,8 @@
 //! must reproduce batch results, state must stay isolated across contexts
 //! and threads, and the detector family must be selectable via config.
 
-use std::sync::Arc;
-
 use invarnet_x::core::{
-    CusumDetector, DetectorChoice, Engine, EngineCounters, EventSink, InvarNetConfig,
-    OperationContext,
+    CusumDetector, DetectorChoice, Engine, InvarNetConfig, OperationContext, Telemetry,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use invarnet_x::timeseries::SeriesBuilder;
@@ -68,10 +65,10 @@ fn train_context(engine: &Engine, ctx: &OperationContext, cpi_traces: &[Vec<f64>
 
 #[test]
 fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
-    let counters = Arc::new(EngineCounters::default());
+    let telemetry = Telemetry::shared();
     let engine = Engine::builder()
         .config(streaming_config())
-        .event_sink(Arc::clone(&counters) as Arc<dyn EventSink>)
+        .telemetry(&telemetry)
         .build();
 
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");
@@ -128,11 +125,12 @@ fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
     );
 
     // Observability: every layer reported through the sink.
-    assert_eq!(counters.ticks_ingested(), cpi.len() as u64);
-    assert_eq!(counters.detections_fired(), 1);
-    assert_eq!(counters.diagnoses_run(), 2); // streaming onset + batch replay
-    assert!(counters.sweeps_completed() >= 2);
-    assert!(counters.sweep_micros_total() >= counters.sweep_micros_max());
+    let total = telemetry.snapshot().total;
+    assert_eq!(total.ticks, cpi.len() as u64);
+    assert_eq!(total.detections, 1);
+    assert_eq!(total.diagnoses, 2); // streaming onset + batch replay
+    assert!(total.sweeps >= 2);
+    assert!(total.sweep_micros.sum >= total.sweep_micros.max);
 }
 
 #[test]

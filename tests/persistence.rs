@@ -1,9 +1,7 @@
 //! Persistence integration: a trained deployment survives a save/load
 //! round-trip and produces identical online behaviour afterwards.
 
-use invarnet_x::core::{
-    InvarNetConfig, InvarNetX, ModelStore, OperationContext, SignatureDatabase,
-};
+use invarnet_x::core::{Engine, InvarNetConfig, ModelStore, OperationContext, SignatureDatabase};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -23,7 +21,7 @@ fn save_load_roundtrip_preserves_online_behaviour() {
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
 
     // Train.
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
     let normals = runner.normal_runs(workload, 5);
     let cpi: Vec<Vec<f64>> = normals
         .iter()
@@ -49,13 +47,7 @@ fn save_load_roundtrip_preserves_online_behaviour() {
     }
 
     // Persist to disk.
-    let mut store = ModelStore::new();
-    store.put_model(
-        &context,
-        system.performance_model(&context).expect("trained"),
-    );
-    store.put_invariants(&context, system.invariant_set(&context).expect("built"));
-    store.signatures = system.signature_database();
+    let store = system.snapshot_state();
     let dir = std::env::temp_dir().join("invarnet_integration");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("deployment.json");
@@ -64,17 +56,8 @@ fn save_load_roundtrip_preserves_online_behaviour() {
     // Rehydrate into a fresh system.
     let loaded = ModelStore::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
-    let mut fresh = InvarNetX::new(InvarNetConfig::default());
-    let key = ModelStore::context_key(&context);
-    fresh.set_performance_model(
-        context.clone(),
-        loaded.performance_models[&key]
-            .clone()
-            .into_model()
-            .expect("rebuild"),
-    );
-    fresh.set_invariant_set(context.clone(), loaded.invariants[&key].clone());
-    fresh.set_signature_database(loaded.signatures.clone());
+    let fresh = Engine::new(InvarNetConfig::default());
+    fresh.load_state(&loaded).expect("rebuild");
 
     // Identical online behaviour on a fresh incident.
     let incident = runner.fault_run(workload, FaultType::DiskHog, 7);
@@ -104,7 +87,7 @@ fn signature_database_grows_online() {
     let runner = Runner::new(402);
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
     let normals = runner.normal_runs(workload, 4);
     let frames: Vec<MetricFrame> = normals
         .iter()
@@ -114,7 +97,7 @@ fn signature_database_grows_online() {
         .build_invariants(context.clone(), &frames)
         .expect("invariants");
 
-    let shared: &InvarNetX = &system;
+    let shared: &Engine = &system;
     assert_eq!(shared.with_signature_database(|db| db.len()), 0);
     for (i, fault) in [FaultType::CpuHog, FaultType::MemHog, FaultType::NetDrop]
         .iter()
@@ -134,7 +117,7 @@ fn xml_export_covers_all_artifacts() {
     let runner = Runner::new(403);
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
     let normals = runner.normal_runs(workload, 4);
     let cpi: Vec<Vec<f64>> = normals
         .iter()
@@ -155,13 +138,7 @@ fn xml_export_covers_all_artifacts() {
         .record_signature(&context, "Mem-hog", &r.fault_window().expect("window"))
         .expect("signature");
 
-    let mut store = ModelStore::new();
-    store.put_model(
-        &context,
-        system.performance_model(&context).expect("trained"),
-    );
-    store.put_invariants(&context, system.invariant_set(&context).expect("built"));
-    store.signatures = system.signature_database();
+    let store = system.snapshot_state();
 
     let xml = invarnet_x::core::to_xml(&store);
     assert!(xml.contains("<model p="));
@@ -184,7 +161,7 @@ fn empty_signature_database_is_an_error_not_a_panic() {
     let runner = Runner::new(404);
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::new(InvarNetConfig::default());
     let normals = runner.normal_runs(workload, 4);
     let frames: Vec<MetricFrame> = normals
         .iter()
@@ -210,7 +187,7 @@ fn empty_signature_database_is_an_error_not_a_panic() {
 
 #[test]
 fn engine_store_roundtrip_with_retry_and_typed_errors() {
-    use invarnet_x::core::{CoreError, Engine, ErrorKind};
+    use invarnet_x::core::{CoreError, ErrorKind};
 
     let workload = WorkloadType::Grep;
     let runner = Runner::new(405);
